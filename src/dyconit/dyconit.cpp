@@ -60,21 +60,19 @@ void SubscriberQueue::drop_all() {
 }
 
 std::size_t SubscriberQueue::shed_entity_moves(double* weight) {
-  if (updates_.empty()) return 0;
-  std::size_t removed = 0;
   double removed_weight = 0.0;
-  std::vector<Update> kept;
-  kept.reserve(updates_.size());
-  for (Update& u : updates_) {
-    if ((u.coalesce_key >> 56) == 1) {
-      ++removed;
-      removed_weight += u.weight;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < updates_.size(); ++i) {
+    if ((updates_[i].coalesce_key >> 56) == 1) {
+      removed_weight += updates_[i].weight;
     } else {
-      kept.push_back(std::move(u));
+      if (kept != i) updates_[kept] = std::move(updates_[i]);
+      ++kept;
     }
   }
+  const std::size_t removed = updates_.size() - kept;
   if (removed == 0) return 0;
-  updates_ = std::move(kept);
+  updates_.erase(updates_.begin() + static_cast<std::ptrdiff_t>(kept), updates_.end());
   by_key_.clear();
   for (std::size_t i = 0; i < updates_.size(); ++i) {
     if (updates_[i].coalesce_key != 0) by_key_.emplace(updates_[i].coalesce_key, i);
@@ -84,45 +82,75 @@ std::size_t SubscriberQueue::shed_entity_moves(double* weight) {
   return removed;
 }
 
-Dyconit::Dyconit(DyconitId id, Bounds default_bounds)
-    : id_(id), default_bounds_(default_bounds) {}
+const std::vector<Dyconit*>& FlushIndex::sorted() {
+  if (!sorted_) {
+    std::sort(active_.begin(), active_.end(),
+              [](const Dyconit* a, const Dyconit* b) { return a->id() < b->id(); });
+    sorted_ = true;
+  }
+  return active_;
+}
+
+void FlushIndex::prune() {
+  std::erase_if(active_, [](Dyconit* d) {
+    if (d->queued_ > 0) return false;
+    d->indexed_ = false;
+    return true;
+  });
+}
+
+Dyconit::Dyconit(DyconitId id, Bounds default_bounds, FlushIndex* index)
+    : id_(id), default_bounds_(default_bounds), index_(index) {}
+
+void Dyconit::add_queued(std::size_t n) {
+  if (n == 0) return;
+  queued_ += n;
+  if (index_ == nullptr) return;
+  index_->queued_ += n;
+  if (!indexed_) {
+    indexed_ = true;
+    if (!index_->active_.empty() && id_ < index_->active_.back()->id()) {
+      index_->sorted_ = false;
+    }
+    index_->active_.push_back(this);
+  }
+}
+
+void Dyconit::remove_queued(std::size_t n) {
+  queued_ -= n;
+  if (index_ != nullptr) index_->queued_ -= n;
+}
+
+void Dyconit::sort_nonempty() {
+  if (nonempty_sorted_) return;
+  std::sort(nonempty_.begin(), nonempty_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  nonempty_sorted_ = true;
+}
+
+void Dyconit::prune_nonempty() {
+  std::erase_if(nonempty_, [](const auto& e) {
+    if (!e.second->queue.empty()) return false;
+    e.second->listed = false;
+    return true;
+  });
+}
 
 void Dyconit::subscribe(SubscriberId sub, Bounds b) {
   subs_[sub].bounds = b;  // creates if absent, keeps existing queue if present
-  subs_dirty_ = true;
 }
 
 void Dyconit::unsubscribe(SubscriberId sub, Stats& stats) {
   const auto it = subs_.find(sub);
   if (it == subs_.end()) return;
-  stats.dropped_unsubscribe += it->second.queue.size();
-  subs_.erase(it);
-  subs_dirty_ = true;
-}
-
-void Dyconit::rebuild_sorted() const {
-  sorted_slots_.clear();
-  sorted_slots_.reserve(subs_.size());
-  for (auto& [sub, s] : const_cast<std::unordered_map<SubscriberId, Sub>&>(subs_)) {
-    sorted_slots_.push_back({sub, &s});
+  Sub& s = it->second;
+  stats.dropped_unsubscribe += s.queue.size();
+  remove_queued(s.queue.size());
+  if (s.listed) {
+    nonempty_.erase(std::find_if(nonempty_.begin(), nonempty_.end(),
+                                 [&](const auto& e) { return e.second == &s; }));
   }
-  std::sort(sorted_slots_.begin(), sorted_slots_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  sorted_subs_.clear();
-  sorted_subs_.reserve(sorted_slots_.size());
-  for (const auto& [sub, s] : sorted_slots_) sorted_subs_.push_back(sub);
-  subs_dirty_ = false;
-}
-
-const std::vector<SubscriberId>& Dyconit::sorted_subscribers() const {
-  if (subs_dirty_) rebuild_sorted();
-  return sorted_subs_;
-}
-
-const std::vector<std::pair<SubscriberId, Dyconit::Sub*>>& Dyconit::sorted_slots()
-    const {
-  if (subs_dirty_) rebuild_sorted();
-  return sorted_slots_;
+  subs_.erase(it);
 }
 
 void Dyconit::set_bounds(SubscriberId sub, Bounds b) {
@@ -140,19 +168,22 @@ void Dyconit::enqueue(const Update& u, SubscriberId exclude, Stats& stats) {
     ++stats.dropped_no_subscriber;
     return;
   }
+  std::size_t added = 0;
   for (auto& [sub, s] : subs_) {
     if (sub == exclude) continue;
     ++stats.enqueued;
-    if (s.queue.enqueue(u)) ++stats.coalesced;
+    if (s.queue.enqueue(u)) {
+      ++stats.coalesced;  // the queue already held updates, so it is listed
+      continue;
+    }
+    ++added;
+    if (!s.listed) {
+      s.listed = true;
+      if (!nonempty_.empty() && sub < nonempty_.back().first) nonempty_sorted_ = false;
+      nonempty_.push_back({sub, &s});
+    }
   }
-}
-
-PendingFlush Dyconit::take_due(SubscriberId sub, SimTime now,
-                               std::size_t snapshot_threshold,
-                               const ShedDirective& shed) {
-  PendingFlush p;
-  take_due_into(sub, now, snapshot_threshold, shed, p);
-  return p;
+  add_queued(added);
 }
 
 void Dyconit::take_due_into(SubscriberId sub, SimTime now,
@@ -187,8 +218,13 @@ void Dyconit::take_due_core(Sub& s, SimTime now, std::size_t snapshot_threshold,
   }
 }
 
+void Dyconit::fold_taken(const PendingFlush& p) {
+  remove_queued(p.updates.size() + p.dropped + p.shed);
+}
+
 void Dyconit::settle(SubscriberId sub, PendingFlush&& p, SimTime now, FlushSink& sink,
                      Stats& stats) {
+  fold_taken(p);
   if (p.shed > 0) {
     stats.shed_updates += p.shed;
     stats.shed_weight += p.shed_weight;
@@ -213,10 +249,10 @@ void Dyconit::settle(SubscriberId sub, PendingFlush&& p, SimTime now, FlushSink&
 void Dyconit::flush_due(SimTime now, FlushSink& sink, Stats& stats,
                         std::size_t snapshot_threshold, const ShedDirectiveMap* shed) {
   // Canonical order: the serial oracle settles subscribers in the same
-  // ascending order the parallel merge phase uses (DESIGN.md §9). Sink
-  // callbacks must not touch this dyconit's subscription set.
+  // ascending order the parallel merge phase uses (DESIGN.md §9).
   static const ShedDirective kNoShed;
-  for (const auto& [sub, slot] : sorted_slots()) {
+  sort_nonempty();
+  for (const auto& [sub, slot] : nonempty_) {
     const ShedDirective* d = &kNoShed;
     if (shed != nullptr) {
       const auto it = shed->find(sub);
@@ -232,6 +268,7 @@ void Dyconit::flush_due(SimTime now, FlushSink& sink, Stats& stats,
       settle(sub, std::move(p), now, sink, stats);
     }
   }
+  prune_nonempty();
 }
 
 void Dyconit::flush_subscriber(SubscriberId sub, SimTime now, FlushSink& sink,
@@ -246,20 +283,16 @@ void Dyconit::flush_subscriber(SubscriberId sub, SimTime now, FlushSink& sink,
 }
 
 void Dyconit::flush_all(SimTime now, FlushSink& sink, Stats& stats) {
-  for (const SubscriberId sub : sorted_subscribers()) {
+  sort_nonempty();
+  for (const auto& [sub, slot] : nonempty_) {
     flush_subscriber(sub, now, sink, stats, FlushReason::Forced);
   }
+  prune_nonempty();
 }
 
 void Dyconit::for_each_subscriber(
     const std::function<void(SubscriberId, Bounds&, const SubscriberQueue&)>& fn) {
   for (auto& [sub, s] : subs_) fn(sub, s.bounds, s.queue);
-}
-
-std::size_t Dyconit::total_queued() const {
-  std::size_t n = 0;
-  for (const auto& [sub, s] : subs_) n += s.queue.size();
-  return n;
 }
 
 }  // namespace dyconits::dyconit

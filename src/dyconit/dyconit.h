@@ -58,9 +58,9 @@ struct Stats {
 
 /// Overload-shedding directive for one subscriber (DESIGN.md §10). The
 /// host's overload controller installs these before a flush round; they
-/// are consulted inside take_due on both the serial and the sharded path,
-/// so shed work is a pure function of the queue contents and identical
-/// for any thread count.
+/// are consulted inside the take step on both the serial and the sharded
+/// path, so shed work is a pure function of the queue contents and
+/// identical for any thread count.
 struct ShedDirective {
   /// Drop queued entity-move updates (coalesce-key namespace 1). Safe to
   /// shed: moves carry absolute positions, so the next enqueued move for
@@ -80,7 +80,7 @@ using ShedDirectiveMap = std::unordered_map<SubscriberId, ShedDirective>;
 
 /// Flush work taken from one (dyconit, subscriber) queue but not yet
 /// accounted or delivered. The flush path is split in two so it can run
-/// sharded (DESIGN.md §9): Dyconit::take_due produces a PendingFlush on a
+/// sharded (DESIGN.md §9): Dyconit::take_due_into fills a PendingFlush on a
 /// worker thread (touching only that subscriber's queue), and the tick
 /// thread settles it — stats, sink — in canonical order, so counters and
 /// wire bytes match the serial oracle exactly.
@@ -159,8 +159,9 @@ class SubscriberQueue {
   void drop_all();
 
   /// Overload shedding: removes every queued entity-move update (coalesce
-  /// key namespace 1), preserving the order of survivors. Returns how many
-  /// were removed and adds their total weight to *weight.
+  /// key namespace 1), compacting the survivors in place in their original
+  /// order (no allocation). Returns how many were removed and adds their
+  /// total weight to *weight.
   std::size_t shed_entity_moves(double* weight);
 
   const std::vector<Update>& peek() const { return updates_; }
@@ -171,9 +172,38 @@ class SubscriberQueue {
   double total_weight_ = 0.0;
 };
 
+class Dyconit;
+
+/// The flush index a DyconitSystem keeps over its dyconits: which of them
+/// hold queued updates, and how many updates are queued in all. Every
+/// dyconit the system creates reports here when one of its queues turns
+/// non-empty and whenever updates join or leave its queues, so a flush
+/// round visits only dyconits with work and total_queued() is O(1). Tick
+/// thread only: sharded flush workers never touch it.
+class FlushIndex {
+ public:
+  /// Every dyconit holding a queued update, plus any emptied since the last
+  /// prune(), in canonical (DyconitId) order.
+  const std::vector<Dyconit*>& sorted();
+  /// Forgets dyconits whose queues are all empty. Call after a flush round.
+  void prune();
+  std::size_t queued() const { return queued_; }
+
+ private:
+  friend class Dyconit;
+  std::vector<Dyconit*> active_;
+  bool sorted_ = true;
+  std::size_t queued_ = 0;
+};
+
 class Dyconit {
  public:
-  Dyconit(DyconitId id, Bounds default_bounds);
+  /// `index` (optional) is the owning system's flush index; a standalone
+  /// dyconit keeps only its own per-queue index.
+  Dyconit(DyconitId id, Bounds default_bounds, FlushIndex* index = nullptr);
+  // The queue index holds pointers into subs_ and index_ holds `this`.
+  Dyconit(const Dyconit&) = delete;
+  Dyconit& operator=(const Dyconit&) = delete;
 
   DyconitId id() const { return id_; }
 
@@ -203,37 +233,47 @@ class Dyconit {
   /// canonical (ascending subscriber id) order. If `snapshot_threshold` > 0,
   /// a queue holding more updates than that is dropped and the sink is
   /// asked for a snapshot instead. `shed` (optional) applies per-subscriber
-  /// overload directives before the due check.
+  /// overload directives before the due check. Only queues that hold
+  /// updates are visited: an empty queue is never due and has nothing to
+  /// shed. Sink callbacks must not call back into this dyconit.
   void flush_due(SimTime now, FlushSink& sink, Stats& stats,
                  std::size_t snapshot_threshold = 0,
                  const ShedDirectiveMap* shed = nullptr);
 
   /// Phase 1 of a sharded flush (safe off the tick thread): applies `shed`,
   /// then decides whether `sub`'s queue is due at `now` and, if so, takes
-  /// its contents. Touches only this subscriber's queue slot — no stats, no
-  /// sink, no shared state — so distinct subscribers may be taken
-  /// concurrently.
-  PendingFlush take_due(SubscriberId sub, SimTime now, std::size_t snapshot_threshold,
-                        const ShedDirective& shed = {});
-
-  /// take_due into caller-owned storage: `p` is reset (its updates vector
-  /// cleared, capacity kept) and filled in place. The capacity swap in
-  /// SubscriberQueue::take_into means a caller that reuses one PendingFlush
-  /// per shard — or per serial round — makes the flush hot path
-  /// allocation-free once capacities warm. Results are identical to
-  /// take_due.
+  /// its contents into `p` (reset first, updates capacity kept). Touches
+  /// only this subscriber's queue slot — no stats, no sink, no index — so
+  /// distinct subscribers may be taken concurrently. The capacity swap in
+  /// SubscriberQueue::take_into makes a caller that reuses one PendingFlush
+  /// per shard allocation-free once capacities warm.
   void take_due_into(SubscriberId sub, SimTime now, std::size_t snapshot_threshold,
                      const ShedDirective& shed, PendingFlush& p);
 
-  /// Phase 2 (tick thread, canonical order): accounts `p` and hands it to
-  /// the sink (deliver or request_snapshot). No-op for Kind::None.
+  /// Phase 2 (tick thread, canonical order): folds `p` into the queued
+  /// counts (fold_taken), accounts it and hands it to the sink (deliver or
+  /// request_snapshot).
   void settle(SubscriberId sub, PendingFlush&& p, SimTime now, FlushSink& sink,
               Stats& stats);
 
-  /// Subscriber ids in canonical (ascending) order — the order flush work
-  /// is settled in on both the serial and the parallel path. Lazily rebuilt
-  /// after subscribe/unsubscribe; the reference is invalidated by either.
-  const std::vector<SubscriberId>& sorted_subscribers() const;
+  /// Tick thread: subtracts the updates a take_due_into removed (taken,
+  /// dropped or shed) from the queued counts. settle() does this itself;
+  /// the sharded merge, which emits pre-packed frames instead of settling,
+  /// calls it directly.
+  void fold_taken(const PendingFlush& p);
+
+  /// Calls fn(sub) for every subscriber whose queue holds updates (plus any
+  /// emptied since the last flush round), in canonical (ascending id)
+  /// order: this dyconit's share of the sharded flush plan.
+  template <class Fn>
+  void for_each_nonempty(Fn&& fn) {
+    sort_nonempty();
+    for (const auto& [sub, slot] : nonempty_) fn(sub);
+  }
+
+  /// Tick thread: unlists queues emptied since the last flush round. The
+  /// sharded path calls it after its merge; flush_due calls it itself.
+  void prune_nonempty();
 
   /// Unconditionally flushes one subscriber (no-op if queue empty).
   void flush_subscriber(SubscriberId sub, SimTime now, FlushSink& sink, Stats& stats,
@@ -246,32 +286,44 @@ class Dyconit {
   void for_each_subscriber(
       const std::function<void(SubscriberId, Bounds&, const SubscriberQueue&)>& fn);
 
-  std::size_t total_queued() const;
+  /// Updates queued across all subscribers; O(1).
+  std::size_t total_queued() const { return queued_; }
   bool idle() const { return subs_.empty(); }
 
  private:
+  friend class FlushIndex;
+
   struct Sub {
     Bounds bounds;
     SubscriberQueue queue;
+    bool listed = false;  ///< present in nonempty_
   };
 
-  /// Shared core of take_due / take_due_into once the Sub slot is resolved.
+  /// Shared core of take_due_into and flush_due once the Sub slot is
+  /// resolved.
   void take_due_core(Sub& s, SimTime now, std::size_t snapshot_threshold,
                      const ShedDirective& shed, PendingFlush& p);
 
-  /// Canonical-order (id, slot) pairs so the serial flush loop skips the
-  /// per-pair hash lookup take_due would repeat. Slot pointers are stable
-  /// (unordered_map nodes); the cache is rebuilt with sorted_subs_ after
-  /// any subscribe/unsubscribe.
-  const std::vector<std::pair<SubscriberId, Sub*>>& sorted_slots() const;
-  void rebuild_sorted() const;
+  /// Queued-count bookkeeping, mirrored into index_. The first update
+  /// queued lists this dyconit in index_.
+  void add_queued(std::size_t n);
+  void remove_queued(std::size_t n);
+  void sort_nonempty();
 
   DyconitId id_;
   Bounds default_bounds_;
   std::unordered_map<SubscriberId, Sub> subs_;
-  mutable std::vector<SubscriberId> sorted_subs_;
-  mutable std::vector<std::pair<SubscriberId, Sub*>> sorted_slots_;
-  mutable bool subs_dirty_ = true;
+
+  // Queue index (tick thread only). nonempty_ lists every queue that holds
+  // updates as (id, slot) pairs, plus queues emptied outside a flush round
+  // (flush_subscriber), which the next round unlists. Slots are
+  // unordered_map nodes, stable until unsubscribe, which unlists them.
+  // nonempty_sorted_ is false after an append out of canonical order.
+  std::vector<std::pair<SubscriberId, Sub*>> nonempty_;
+  bool nonempty_sorted_ = true;
+  std::size_t queued_ = 0;
+  FlushIndex* index_ = nullptr;
+  bool indexed_ = false;  ///< present in index_->active_
 
   // Flush-round scratch (tick thread only), reused so the serial path stays
   // allocation-free in steady state: take_scratch_ circulates update-vector

@@ -19,35 +19,23 @@ std::size_t flush_shard_of(SubscriberId sub, std::size_t shards) {
 Dyconit& DyconitSystem::get_or_create(DyconitId id, Bounds default_bounds) {
   auto it = dyconits_.find(id);
   if (it != dyconits_.end()) return *it->second;
-  auto [ins, _] = dyconits_.emplace(id, std::make_unique<Dyconit>(id, default_bounds));
-  dyconits_dirty_ = true;
+  auto [ins, _] =
+      dyconits_.emplace(id, std::make_unique<Dyconit>(id, default_bounds, &index_));
+  idle_.insert(id);  // no subscribers yet
   return *ins->second;
-}
-
-const std::vector<Dyconit*>& DyconitSystem::sorted_dyconits() {
-  if (dyconits_dirty_) {
-    sorted_cache_.clear();
-    sorted_cache_.reserve(dyconits_.size());
-    for (auto& [id, d] : dyconits_) sorted_cache_.push_back(d.get());
-    std::sort(sorted_cache_.begin(), sorted_cache_.end(),
-              [](const Dyconit* a, const Dyconit* b) { return a->id() < b->id(); });
-    dyconits_dirty_ = false;
-  }
-  return sorted_cache_;
 }
 
 void DyconitSystem::gc() {
   // GC: a dyconit with no subscribers holds no queues (enqueue drops when
-  // subscriber-less), so it can be removed without losing updates.
+  // subscriber-less), so it can be removed without losing updates. It is
+  // not in the flush index either: the round just before pruned it.
   TRACE_SCOPE("dyconit.gc");
-  for (auto it = dyconits_.begin(); it != dyconits_.end();) {
-    if (it->second->idle()) {
-      it = dyconits_.erase(it);
-      dyconits_dirty_ = true;
-    } else {
-      ++it;
-    }
+  if (idle_.empty()) return;
+  for (const DyconitId& id : idle_) {
+    const auto it = dyconits_.find(id);
+    if (it != dyconits_.end() && it->second->idle()) dyconits_.erase(it);
   }
+  idle_.clear();
 }
 
 Dyconit* DyconitSystem::find(DyconitId id) {
@@ -65,11 +53,18 @@ void DyconitSystem::subscribe(DyconitId id, SubscriberId sub, Bounds b) {
 }
 
 void DyconitSystem::unsubscribe(DyconitId id, SubscriberId sub) {
-  if (Dyconit* d = find(id)) d->unsubscribe(sub, stats_);
+  Dyconit* d = find(id);
+  if (d == nullptr) return;
+  d->unsubscribe(sub, stats_);
+  if (d->idle()) idle_.insert(id);
 }
 
 void DyconitSystem::unsubscribe_all(SubscriberId sub) {
-  for (auto& [id, d] : dyconits_) d->unsubscribe(sub, stats_);
+  for (auto& [id, d] : dyconits_) {
+    if (!d->subscribed(sub)) continue;
+    d->unsubscribe(sub, stats_);
+    if (d->idle()) idle_.insert(id);
+  }
 }
 
 bool DyconitSystem::is_subscribed(DyconitId id, SubscriberId sub) const {
@@ -83,8 +78,13 @@ void DyconitSystem::set_bounds(DyconitId id, SubscriberId sub, Bounds b) {
 
 void DyconitSystem::update(DyconitId id, Update u, SubscriberId exclude) {
   TRACE_SCOPE("dyconit.enqueue");
+  Dyconit* d = find(id);
+  if (d == nullptr) {
+    ++stats_.dropped_no_subscriber;
+    return;
+  }
   if (u.created == SimTime::zero()) u.created = clock_.now();
-  get_or_create(id).enqueue(u, exclude, stats_);
+  d->enqueue(u, exclude, stats_);
 }
 
 void DyconitSystem::set_shed_directive(SubscriberId sub, ShedDirective d) {
@@ -112,22 +112,23 @@ void DyconitSystem::tick(FlushSink& sink, util::ThreadPool* pool,
 
   if (shards <= 1) {
     TRACE_SCOPE("dyconit.flush_due");
-    for (Dyconit* d : sorted_dyconits()) {
+    for (Dyconit* d : index_.sorted()) {
       d->flush_due(now, sink, stats_, snapshot_threshold_, shed);
     }
+    index_.prune();
     gc();
     return;
   }
 
-  // Phase 1 (workers): every (dyconit, subscriber) pair is checked and, if
-  // due, taken and packed into shard-local staging. A pair's shard is a
-  // pure function of the subscriber id, so no two shards ever touch the
-  // same subscriber's queue or session, and sessions/stats stay read-only.
+  // Phase 1 (workers): every indexed (dyconit, subscriber) queue is checked
+  // and, if due, taken and packed into shard-local staging. A pair's shard
+  // is a pure function of the subscriber id, so no two shards ever touch
+  // the same subscriber's queue or session, and sessions/stats stay
+  // read-only. So does the flush index: emptied queues are folded into it
+  // in the merge phase, on this thread.
   plan_.clear();
-  for (Dyconit* d : sorted_dyconits()) {
-    for (const SubscriberId sub : d->sorted_subscribers()) {
-      plan_.push_back({d, sub});
-    }
+  for (Dyconit* d : index_.sorted()) {
+    d->for_each_nonempty([&](SubscriberId sub) { plan_.push_back({d, sub}); });
   }
   results_.resize(plan_.size());
   host->begin_flush_round(shards);
@@ -187,29 +188,39 @@ void DyconitSystem::tick(FlushSink& sink, util::ThreadPool* pool,
           host->emit_packed(r.shard, r.handle, plan_[i].sub);
           break;
       }
+      plan_[i].d->fold_taken(r.pending);
       // Destroy the updates (their messages own heap) but keep the vector's
       // capacity — the worker writing results_[i] next round recycles it.
       r.pending.reset();
     }
+    for (Dyconit* d : index_.sorted()) d->prune_nonempty();
+    index_.prune();
   }
   gc();
 }
 
 void DyconitSystem::flush_all(FlushSink& sink) {
   const SimTime now = clock_.now();
-  for (Dyconit* d : sorted_dyconits()) d->flush_all(now, sink, stats_);
+  for (Dyconit* d : index_.sorted()) d->flush_all(now, sink, stats_);
+  index_.prune();
 }
 
 void DyconitSystem::flush_subscriber(SubscriberId sub, FlushSink& sink) {
+  // Dyconits outside the index hold no updates: nothing is owed there.
   const SimTime now = clock_.now();
-  for (Dyconit* d : sorted_dyconits()) d->flush_subscriber(sub, now, sink, stats_);
+  for (Dyconit* d : index_.sorted()) d->flush_subscriber(sub, now, sink, stats_);
 }
 
 void DyconitSystem::resync_subscriber(SubscriberId sub, FlushSink& sink) {
   TRACE_SCOPE("dyconit.resync");
   const SimTime now = clock_.now();
-  for (Dyconit* d : sorted_dyconits()) {
-    if (!d->subscribed(sub)) continue;
+  std::vector<Dyconit*> subscribed;
+  for (auto& [id, d] : dyconits_) {
+    if (d->subscribed(sub)) subscribed.push_back(d.get());
+  }
+  std::sort(subscribed.begin(), subscribed.end(),
+            [](const Dyconit* a, const Dyconit* b) { return a->id() < b->id(); });
+  for (Dyconit* d : subscribed) {
     d->flush_subscriber(sub, now, sink, stats_);
     sink.request_snapshot(sub, d->id());
     ++stats_.snapshots_requested;
@@ -219,12 +230,6 @@ void DyconitSystem::resync_subscriber(SubscriberId sub, FlushSink& sink) {
 
 void DyconitSystem::for_each(const std::function<void(Dyconit&)>& fn) {
   for (auto& [id, d] : dyconits_) fn(*d);
-}
-
-std::size_t DyconitSystem::total_queued() const {
-  std::size_t n = 0;
-  for (const auto& [id, d] : dyconits_) n += d->total_queued();
-  return n;
 }
 
 }  // namespace dyconits::dyconit

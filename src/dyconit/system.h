@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "dyconit/dyconit.h"
@@ -58,6 +59,9 @@ std::size_t flush_shard_of(SubscriberId sub, std::size_t shards);
 class DyconitSystem {
  public:
   explicit DyconitSystem(const SimClock& clock) : clock_(clock) {}
+  // Every dyconit holds a pointer to index_.
+  DyconitSystem(const DyconitSystem&) = delete;
+  DyconitSystem& operator=(const DyconitSystem&) = delete;
 
   /// Creates the dyconit on first use. `default_bounds` only applies at
   /// creation; existing dyconits keep their configuration.
@@ -73,13 +77,16 @@ class DyconitSystem {
   void set_bounds(DyconitId id, SubscriberId sub, Bounds b);
 
   /// Queues an update for all subscribers of `id` except `exclude`. If the
-  /// dyconit does not exist it is created with zero default bounds (and the
-  /// update, having no subscribers, is dropped and counted).
+  /// dyconit does not exist the update has no subscribers: it is dropped
+  /// and counted in Stats::dropped_no_subscriber, and no dyconit is created.
   void update(DyconitId id, Update u, SubscriberId exclude = kNoSubscriber);
 
   /// One middleware tick: flushes every (dyconit, subscriber) queue that
   /// violates its bounds at clock.now() in canonical (dyconit, subscriber)
-  /// order, then garbage-collects dyconits with no subscribers.
+  /// order, then garbage-collects dyconits with no subscribers. Only queues
+  /// that hold updates are visited (FlushIndex), so the cost follows the
+  /// queued work, not the number of subscriptions. Sink callbacks must not
+  /// call back into the system.
   void tick(FlushSink& sink);
 
   /// The same tick, sharded (DESIGN.md §9): flush work is partitioned by
@@ -124,28 +131,29 @@ class DyconitSystem {
 
   const SimClock& clock() const { return clock_; }
   std::size_t dyconit_count() const { return dyconits_.size(); }
-  std::size_t total_queued() const;
+  /// Updates queued across every queue; O(1).
+  std::size_t total_queued() const { return index_.queued(); }
 
  private:
-  /// Dyconits in canonical (DyconitId::operator<) order; lazily rebuilt
-  /// after create/GC. Pointers stay valid across rebuilds (unique_ptr).
-  const std::vector<Dyconit*>& sorted_dyconits();
+  /// Erases the dyconits in idle_ that still have no subscribers.
   void gc();
 
   const SimClock& clock_;
+  FlushIndex index_;
   std::unordered_map<DyconitId, std::unique_ptr<Dyconit>> dyconits_;
+  /// GC candidates: dyconits created or left without subscribers since the
+  /// last gc(). Only these can be idle, so gc() never walks the whole map.
+  std::unordered_set<DyconitId> idle_;
   Stats stats_;
   std::size_t snapshot_threshold_ = 0;
   /// Read-only during a flush round; workers look directives up
   /// concurrently, the tick thread mutates between rounds.
   ShedDirectiveMap shed_;
 
-  mutable std::vector<Dyconit*> sorted_cache_;
-  mutable bool dyconits_dirty_ = true;
-
   // Parallel-tick scratch, reused across rounds to avoid steady-state
-  // allocation. plan_ lists due-check work in canonical order; results_[i]
-  // is written by exactly one worker (the shard owning plan_[i].sub).
+  // allocation. plan_ lists due-check work in canonical order, one task per
+  // queue in the flush index; results_[i] is written by exactly one worker
+  // (the shard owning plan_[i].sub).
   struct FlushTask {
     Dyconit* d = nullptr;
     SubscriberId sub = kNoSubscriber;

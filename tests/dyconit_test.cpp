@@ -135,6 +135,38 @@ TEST(SubscriberQueueTest, PreservesEnqueueOrder) {
   EXPECT_EQ(std::get<EntityMove>(taken[4].msg).id, 5u);
 }
 
+TEST(SubscriberQueueTest, ShedEntityMovesCompactsInPlace) {
+  SubscriberQueue q;
+  Update block;
+  block.msg = protocol::BlockChange{{1, 64, 2}, world::Block::Stone};
+  block.weight = 2.0;
+  block.coalesce_key = coalesce_key_block({1, 64, 2});
+  Update chat = block;  // key 0: never coalesces, never shed
+  chat.coalesce_key = 0;
+  q.enqueue(move_update(1, 1, 0.5, SimTime(0)));
+  q.enqueue(block);
+  q.enqueue(move_update(2, 2, 0.25, SimTime(1)));
+  q.enqueue(chat);
+  const Update* storage = q.peek().data();
+
+  double weight = 0.0;
+  EXPECT_EQ(q.shed_entity_moves(&weight), 2u);
+  EXPECT_DOUBLE_EQ(weight, 0.75);
+  ASSERT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.peek().data(), storage);  // compacted in place, no reallocation
+  EXPECT_EQ(q.peek()[0].coalesce_key, block.coalesce_key);  // survivors keep order
+  EXPECT_EQ(q.peek()[1].coalesce_key, 0u);
+  EXPECT_DOUBLE_EQ(q.total_weight(), 4.0);
+
+  // The key index follows the survivors' new slots.
+  EXPECT_TRUE(q.enqueue(block));
+  EXPECT_DOUBLE_EQ(q.peek()[0].weight, 4.0);
+  EXPECT_FALSE(q.enqueue(move_update(1, 3, 1, SimTime(2))));
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.shed_entity_moves(nullptr), 1u);
+  EXPECT_EQ(q.shed_entity_moves(nullptr), 0u);
+}
+
 // ----------------------------------------------------------------- Dyconit
 
 class DyconitTest : public ::testing::Test {
@@ -402,6 +434,82 @@ TEST_F(SystemTest, SetBoundsAffectsFlushDecision) {
   sys_.set_bounds(id, 1, Bounds::zero());
   sys_.tick(sink_);
   EXPECT_EQ(sink_.records.size(), 1u);
+}
+
+TEST_F(SystemTest, UpdateToUnknownUnitCountsDropAndCreatesNothing) {
+  const auto id = DyconitId::chunk_entities({3, 3});
+  sys_.update(id, move_update(7, 1, 1, clock_.now()));
+  EXPECT_EQ(sys_.stats().dropped_no_subscriber, 1u);
+  EXPECT_EQ(sys_.stats().enqueued, 0u);
+  EXPECT_EQ(sys_.find(id), nullptr);
+  EXPECT_EQ(sys_.dyconit_count(), 0u);
+}
+
+TEST_F(SystemTest, GcErasesDyconitsCreatedOrLeftWithoutSubscribers) {
+  sys_.get_or_create(DyconitId::chunk_blocks({0, 0}));  // never subscribed
+  sys_.subscribe(DyconitId::chunk_blocks({1, 0}), 1, Bounds::infinite());
+  sys_.subscribe(DyconitId::chunk_blocks({2, 0}), 1, Bounds::infinite());
+  sys_.subscribe(DyconitId::chunk_blocks({2, 0}), 2, Bounds::infinite());
+  sys_.update(DyconitId::chunk_blocks({1, 0}), move_update(7, 1, 1, clock_.now()));
+  sys_.unsubscribe_all(1);
+  EXPECT_EQ(sys_.dyconit_count(), 3u);
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.dyconit_count(), 1u);  // only {2,0} keeps a subscriber
+  EXPECT_NE(sys_.find(DyconitId::chunk_blocks({2, 0})), nullptr);
+  EXPECT_EQ(sys_.total_queued(), 0u);
+}
+
+TEST_F(SystemTest, TotalQueuedMatchesBruteForceAfterMixedOperations) {
+  const auto brute = [&] {
+    std::size_t n = 0;
+    sys_.for_each([&](Dyconit& d) {
+      d.for_each_subscriber(
+          [&](SubscriberId, Bounds&, const SubscriberQueue& q) { n += q.size(); });
+    });
+    return n;
+  };
+  const auto a = DyconitId::chunk_entities({0, 0});
+  const auto b = DyconitId::chunk_entities({1, 0});
+  sys_.subscribe(a, 1, Bounds::infinite());
+  sys_.subscribe(a, 2, Bounds{SimDuration::millis(100), 1e9});
+  sys_.subscribe(b, 1, Bounds::infinite());
+  sys_.update(a, move_update(7, 1, 1, clock_.now()));
+  sys_.update(a, move_update(7, 2, 1, clock_.now()));  // coalesces
+  sys_.update(a, move_update(8, 1, 1, clock_.now()), /*exclude=*/2);
+  sys_.update(b, move_update(9, 1, 1, clock_.now()));
+  EXPECT_EQ(sys_.total_queued(), 4u);
+  EXPECT_EQ(sys_.total_queued(), brute());
+
+  clock_.advance(SimDuration::millis(100));
+  sys_.tick(sink_);  // subscriber 2's queue is due
+  EXPECT_EQ(sys_.total_queued(), 3u);
+  EXPECT_EQ(sys_.total_queued(), brute());
+
+  sys_.set_shed_directive(1, ShedDirective{true, 0});
+  sys_.tick(sink_);  // sheds every move owed to 1
+  EXPECT_EQ(sys_.total_queued(), 0u);
+  EXPECT_EQ(sys_.stats().shed_updates, 3u);
+  sys_.clear_shed_directives();
+
+  sys_.update(b, move_update(9, 1, 1, clock_.now()));
+  sys_.set_snapshot_threshold(1);
+  sys_.update(b, move_update(10, 1, 1, clock_.now()));
+  sys_.tick(sink_);  // 2 > 1 queued: dropped for a snapshot
+  EXPECT_EQ(sys_.total_queued(), 0u);
+  EXPECT_EQ(sys_.stats().dropped_snapshot, 2u);
+  sys_.set_snapshot_threshold(0);
+
+  sys_.update(a, move_update(7, 1, 1, clock_.now()));
+  sys_.update(b, move_update(7, 1, 1, clock_.now()));
+  EXPECT_EQ(sys_.total_queued(), 3u);
+  sys_.flush_subscriber(2, sink_);
+  EXPECT_EQ(sys_.total_queued(), 2u);
+  sys_.unsubscribe(a, 1);
+  EXPECT_EQ(sys_.total_queued(), 1u);
+  EXPECT_EQ(sys_.total_queued(), brute());
+  sys_.resync_subscriber(1, sink_);
+  EXPECT_EQ(sys_.total_queued(), 0u);
+  EXPECT_EQ(sys_.total_queued(), brute());
 }
 
 TEST_F(SystemTest, TotalQueuedCounts) {
