@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build + tests, then the chaos suite across a
 # fault-seed matrix, then the unit-test suite again under AddressSanitizer +
-# UBSan (DYCONITS_SANITIZE) including a 100k-iteration protocol fuzz pass,
+# UBSan (DYCONITS_SANITIZE) including a 100k-iteration protocol fuzz pass
+# and a 100k-step queue-index property pass,
 # then the determinism + chaos suites under ThreadSanitizer with the
 # parallel flush pipeline on (--threads=4; DESIGN.md §9), then a check that
 # the compile-out switch (DYCONITS_TRACING=OFF) still builds, then the
@@ -182,7 +183,7 @@ if want chaos; then
 fi
 
 if want asan; then
-  echo "== sanitizers: ASan+UBSan build + ctest (+100k protocol fuzz) =="
+  echo "== sanitizers: ASan+UBSan build + ctest (+100k protocol fuzz, queue index) =="
   cmake -B "$prefix-sanitize" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDYCONITS_SANITIZE="address;undefined"
   cmake --build "$prefix-sanitize" -j "$jobs"
@@ -191,6 +192,10 @@ if want asan; then
   # zero sanitizer reports (the default iteration count is much smaller).
   DYCONITS_FUZZ_ITERS=100000 \
     ctest --test-dir "$prefix-sanitize" --output-on-failure -R protocol_fuzz_test
+  # Same floor for the dyconit queues' open-addressing coalescing index:
+  # 100k seeded operations checked against the reference model.
+  DYCONITS_QUEUE_ITERS=100000 \
+    ctest --test-dir "$prefix-sanitize" --output-on-failure -R '^dyconit_test$'
   # Acceptance floor for overload control (DESIGN.md §10): the full 10k-tick
   # saturating-load run — queue caps, sustained tick cost, and the
   # threads-{1,2,4} byte-identity check — must also hold with ASan+UBSan

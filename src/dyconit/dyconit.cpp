@@ -1,6 +1,7 @@
 #include "dyconit/dyconit.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace dyconits::dyconit {
 
@@ -20,19 +21,66 @@ void account_flush(const PendingFlush& p, SimTime now, Stats& stats) {
   }
 }
 
+std::size_t SubscriberQueue::home_slot(std::uint64_t key, std::size_t capacity) {
+  // Fibonacci hashing: the top bits of key * 2^64/phi spread the sequential
+  // entity ids and packed block positions the game uses as keys.
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                  (64 - std::countr_zero(capacity)));
+}
+
+std::size_t SubscriberQueue::probe(std::uint64_t key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home_slot(key, slots_.size());
+  while (slots_[i].gen == gen_ && slots_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+void SubscriberQueue::claim(std::size_t slot, std::uint64_t key, std::size_t pos) {
+  slots_[slot] = {key, static_cast<std::uint32_t>(pos), gen_};
+  ++keyed_;
+}
+
+void SubscriberQueue::clear_index() {
+  if (keyed_ == 0) return;
+  keyed_ = 0;
+  if (++gen_ == 0) {
+    // Generation wrapped: stale stamps could match again, so empty every
+    // slot for real, once per 2^32 clears.
+    for (Slot& s : slots_) s.gen = 0;
+    gen_ = 1;
+  }
+}
+
+void SubscriberQueue::rebuild_index(std::size_t capacity) {
+  if (capacity != slots_.size()) {
+    slots_.assign(capacity, Slot{});
+    gen_ = 1;
+    keyed_ = 0;
+  } else {
+    clear_index();
+  }
+  for (std::size_t i = 0; i < updates_.size(); ++i) {
+    const std::uint64_t key = updates_[i].coalesce_key;
+    if (key != 0) claim(probe(key), key, i);
+  }
+}
+
 bool SubscriberQueue::enqueue(const Update& u) {
   total_weight_ += u.weight;
   if (u.coalesce_key != 0) {
-    const auto it = by_key_.find(u.coalesce_key);
-    if (it != by_key_.end()) {
+    if (2 * (keyed_ + 1) > slots_.size()) {
+      rebuild_index(slots_.empty() ? 8 : 2 * slots_.size());
+    }
+    const std::size_t i = probe(u.coalesce_key);
+    if (slots_[i].gen == gen_) {
       // Last write wins: replace the payload in place, keep the original
       // position and creation time, accumulate the weight.
-      Update& slot = updates_[it->second];
+      Update& slot = updates_[slots_[i].pos];
       slot.msg = u.msg;
       slot.weight += u.weight;
       return true;
     }
-    by_key_.emplace(u.coalesce_key, updates_.size());
+    claim(i, u.coalesce_key, updates_.size());
   }
   updates_.push_back(u);
   return false;
@@ -41,7 +89,7 @@ bool SubscriberQueue::enqueue(const Update& u) {
 std::vector<Update> SubscriberQueue::take_all() {
   std::vector<Update> out = std::move(updates_);
   updates_.clear();
-  by_key_.clear();
+  clear_index();
   total_weight_ = 0.0;
   return out;
 }
@@ -49,13 +97,13 @@ std::vector<Update> SubscriberQueue::take_all() {
 void SubscriberQueue::take_into(std::vector<Update>& out) {
   out.clear();
   out.swap(updates_);  // queue inherits out's old capacity; contents unchanged
-  by_key_.clear();
+  clear_index();
   total_weight_ = 0.0;
 }
 
 void SubscriberQueue::drop_all() {
   updates_.clear();
-  by_key_.clear();
+  clear_index();
   total_weight_ = 0.0;
 }
 
@@ -73,10 +121,7 @@ std::size_t SubscriberQueue::shed_entity_moves(double* weight) {
   const std::size_t removed = updates_.size() - kept;
   if (removed == 0) return 0;
   updates_.erase(updates_.begin() + static_cast<std::ptrdiff_t>(kept), updates_.end());
-  by_key_.clear();
-  for (std::size_t i = 0; i < updates_.size(); ++i) {
-    if (updates_[i].coalesce_key != 0) by_key_.emplace(updates_[i].coalesce_key, i);
-  }
+  rebuild_index(slots_.size());  // survivors moved to new positions
   total_weight_ -= removed_weight;
   if (weight != nullptr) *weight += removed_weight;
   return removed;
@@ -275,10 +320,11 @@ void Dyconit::flush_subscriber(SubscriberId sub, SimTime now, FlushSink& sink,
                                Stats& stats, FlushReason reason) {
   const auto it = subs_.find(sub);
   if (it == subs_.end() || it->second.queue.empty()) return;
-  PendingFlush p;
+  PendingFlush& p = take_scratch_;  // reused as in flush_due: no allocation
+  p.reset();
   p.kind = PendingFlush::Kind::Flush;
   p.reason = reason;
-  p.updates = it->second.queue.take_all();
+  it->second.queue.take_into(p.updates);
   settle(sub, std::move(p), now, sink, stats);
 }
 

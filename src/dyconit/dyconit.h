@@ -118,7 +118,10 @@ struct PendingFlush {
 /// exactly (FP addition is not associative).
 void account_flush(const PendingFlush& p, SimTime now, Stats& stats);
 
-/// Insertion-ordered outgoing queue with in-place coalescing.
+/// Insertion-ordered outgoing queue with in-place coalescing. Steady state
+/// is allocation-free: the update vector's capacity circulates through
+/// take_into, and the coalescing index is a flat table that is allocated on
+/// the first keyed enqueue, only grows, and is reused across takes.
 class SubscriberQueue {
  public:
   /// Returns true if the update was coalesced into an existing entry.
@@ -145,6 +148,7 @@ class SubscriberQueue {
   }
 
   /// Moves out all queued updates in enqueue order and resets the queue.
+  /// Allocates: the queue starts over with no update storage.
   std::vector<Update> take_all();
 
   /// take_all without the allocation: swaps the queue's storage into `out`
@@ -166,9 +170,41 @@ class SubscriberQueue {
 
   const std::vector<Update>& peek() const { return updates_; }
 
+  /// Slots in the coalescing index: 0 until the first keyed enqueue, then a
+  /// power of two that never shrinks.
+  std::size_t index_capacity() const { return slots_.size(); }
+
+  /// Where the index starts probing for `key` in a table of `capacity`
+  /// slots (a power of two, at least 2). Public so tests can pick keys that
+  /// share a probe run.
+  static std::size_t home_slot(std::uint64_t key, std::size_t capacity);
+
  private:
+  // Flat coalescing index: coalesce_key -> position in updates_, open
+  // addressing with linear probing over a power-of-two table kept at most
+  // half full. A slot is live only while it carries the current generation,
+  // so clearing the index is one increment: no slot is written, and no slot
+  // of an earlier generation can survive to point past updates_ (clearing
+  // slots one by one would cut the probe chains of keys not yet cleared).
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t pos = 0;
+    std::uint32_t gen = 0;  ///< live iff == gen_
+  };
+
+  void clear_index();
+  /// Re-inserts every keyed update at its position, after the table grew to
+  /// `capacity` slots or updates_ was compacted.
+  void rebuild_index(std::size_t capacity);
+  /// The live slot holding `key`, or the empty slot where it would go.
+  std::size_t probe(std::uint64_t key) const;
+  /// Makes the empty `slot` map `key` to `pos`.
+  void claim(std::size_t slot, std::uint64_t key, std::size_t pos);
+
   std::vector<Update> updates_;
-  std::unordered_map<std::uint64_t, std::size_t> by_key_;  // coalesce_key -> index
+  std::vector<Slot> slots_;
+  std::uint32_t gen_ = 1;    ///< slots start at generation 0: empty
+  std::uint32_t keyed_ = 0;  ///< live slots (keyed updates in updates_)
   double total_weight_ = 0.0;
 };
 
@@ -275,7 +311,9 @@ class Dyconit {
   /// sharded path calls it after its merge; flush_due calls it itself.
   void prune_nonempty();
 
-  /// Unconditionally flushes one subscriber (no-op if queue empty).
+  /// Unconditionally flushes one subscriber (no-op if queue empty). Takes
+  /// through the same reused scratch as flush_due, so it does not allocate
+  /// once capacities warm; like flush_due, not for use from a sink callback.
   void flush_subscriber(SubscriberId sub, SimTime now, FlushSink& sink, Stats& stats,
                         FlushReason reason = FlushReason::Forced);
 

@@ -77,7 +77,6 @@ void DyconitSystem::set_bounds(DyconitId id, SubscriberId sub, Bounds b) {
 }
 
 void DyconitSystem::update(DyconitId id, Update u, SubscriberId exclude) {
-  TRACE_SCOPE("dyconit.enqueue");
   Dyconit* d = find(id);
   if (d == nullptr) {
     ++stats_.dropped_no_subscriber;

@@ -30,10 +30,15 @@ world::Vec3 default_spawn(const std::string&) { return {8.5, 40.0, 8.5}; }
 // Shared by the serial deliver() path and the parallel pack_flush() stage
 // (DESIGN.md §9): both invoke emit(msg, origin) in the exact same sequence,
 // which is what makes the staged frames byte-identical to the serial ones.
+// `moves` is caller-owned scratch for the move batch: its capacity lends
+// itself to the emitted EntityMoveBatch and comes back, so packing moves
+// allocates nothing. The per-chunk maps stay local: a reused, cleared
+// unordered_map keeps its bucket count, which can change the iteration
+// order and so the wire bytes.
 template <typename Emit>
 void pack_update_batch(const std::vector<dyconit::FlushSink::FlushedUpdate>& updates,
-                       Emit&& emit) {
-  std::vector<protocol::EntityMove> moves;
+                       std::vector<protocol::EntityMove>& moves, Emit&& emit) {
+  moves.clear();
   SimTime moves_origin = SimTime::zero();
   std::unordered_map<ChunkPos, protocol::MultiBlockChange> blocks;
   std::unordered_map<ChunkPos, SimTime> blocks_origin;
@@ -60,7 +65,9 @@ void pack_update_batch(const std::vector<dyconit::FlushSink::FlushedUpdate>& upd
   if (moves.size() == 1) {
     emit(protocol::AnyMessage(moves.front()), moves_origin);
   } else if (!moves.empty()) {
-    emit(protocol::AnyMessage(protocol::EntityMoveBatch{std::move(moves)}), moves_origin);
+    protocol::AnyMessage batch(protocol::EntityMoveBatch{std::move(moves)});
+    emit(batch, moves_origin);
+    moves = std::move(std::get<protocol::EntityMoveBatch>(batch).moves);
   }
   for (auto& [c, mbc] : blocks) {
     if (mbc.entries.size() == 1) {
@@ -473,11 +480,19 @@ void GameServer::on_block_change(const world::BlockChange& change) {
 }
 
 void GameServer::dispatch_moved_entities() {
-  for (const auto& [id, weight] : moved_) {
-    const Entity* e = registry_.find(id);
-    if (e != nullptr) dispatch_entity_move(*e, weight);
-  }
-  moved_.clear();
+  const auto dispatch_all = [&] {
+    for (const auto& [id, weight] : moved_) {
+      const Entity* e = registry_.find(id);
+      if (e != nullptr) dispatch_entity_move(*e, weight);
+    }
+    moved_.clear();
+  };
+  if (!cfg_.use_dyconits) return dispatch_all();
+  // One span for the whole batch of move enqueues: a span per update costs
+  // more than the enqueue it times. Block-change enqueues are timed only by
+  // the phase they happen in.
+  TRACE_SCOPE("dyconit.enqueue");
+  dispatch_all();
 }
 
 void GameServer::dispatch_entity_move(const Entity& e, double weight) {
@@ -761,9 +776,10 @@ void GameServer::flush_dyconits() {
 void GameServer::deliver(SubscriberId to, const std::vector<FlushedUpdate>& updates) {
   Session* s = session_of(to);
   if (s == nullptr) return;
-  pack_update_batch(updates, [&](const protocol::AnyMessage& m, SimTime origin) {
-    send_or_queue(*s, m, origin);
-  });
+  pack_update_batch(updates, deliver_moves_,
+                    [&](const protocol::AnyMessage& m, SimTime origin) {
+                      send_or_queue(*s, m, origin);
+                    });
 }
 
 void GameServer::begin_flush_round(std::size_t shards) {
@@ -794,17 +810,19 @@ std::uint32_t GameServer::pack_flush(std::size_t shard, SubscriberId to,
                    (s->backlogged || !s->egress.empty());
   if (batch.deferred) {
     batch.begin = static_cast<std::uint32_t>(stage.msgs.size());
-    pack_update_batch(updates, [&](const protocol::AnyMessage& m, SimTime origin) {
-      stage.msgs.push_back({m, origin});
-    });
+    pack_update_batch(updates, stage.moves,
+                      [&](const protocol::AnyMessage& m, SimTime origin) {
+                        stage.msgs.push_back({m, origin});
+                      });
     batch.end = static_cast<std::uint32_t>(stage.msgs.size());
   } else {
     batch.begin = static_cast<std::uint32_t>(stage.frames.size());
     if (s != nullptr) {
-      pack_update_batch(updates, [&](const protocol::AnyMessage& m, SimTime origin) {
-        TRACE_SCOPE("server.serialize_send");
-        stage.frames.push_back({protocol::encode(m), origin});
-      });
+      pack_update_batch(updates, stage.moves,
+                        [&](const protocol::AnyMessage& m, SimTime origin) {
+                          TRACE_SCOPE("server.serialize_send");
+                          stage.frames.push_back({protocol::encode(m), origin});
+                        });
     }
     batch.end = static_cast<std::uint32_t>(stage.frames.size());
   }

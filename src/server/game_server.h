@@ -387,8 +387,10 @@ class GameServer final : public dyconit::FlushSink, public dyconit::ParallelFlus
     std::vector<StagedFrame> frames;
     std::vector<StagedMsg> msgs;
     std::vector<StagedBatch> batches;
+    std::vector<protocol::EntityMove> moves;  ///< pack_flush's batch scratch
   };
   std::vector<ShardStage> stages_;
+  std::vector<protocol::EntityMove> deliver_moves_;  ///< deliver()'s batch scratch
   std::unique_ptr<util::ThreadPool> flush_pool_;  // null when flush_threads <= 1
 
   struct DroppedItem {

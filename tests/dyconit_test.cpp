@@ -1,8 +1,14 @@
-// Unit tests for the dyconit core: queues, coalescing, bound enforcement,
-// flush reasons, system lifecycle.
+// Unit tests for the dyconit core: queues, coalescing (including a seeded
+// differential test of the coalescing index), bound enforcement, flush
+// reasons, system lifecycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <map>
+
 #include "dyconit/system.h"
+#include "util/rng.h"
 
 namespace dyconits::dyconit {
 namespace {
@@ -165,6 +171,219 @@ TEST(SubscriberQueueTest, ShedEntityMovesCompactsInPlace) {
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.shed_entity_moves(nullptr), 1u);
   EXPECT_EQ(q.shed_entity_moves(nullptr), 0u);
+}
+
+// Keys whose home slot is `home` in a table of `capacity` slots, so they
+// share one probe run there.
+std::vector<std::uint64_t> keys_with_home(std::size_t capacity, std::size_t home,
+                                          std::size_t count, std::uint64_t ns = 1) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t id = 1; keys.size() < count; ++id) {
+    const std::uint64_t key = (ns << 56) | id;
+    if (SubscriberQueue::home_slot(key, capacity) == home) keys.push_back(key);
+  }
+  return keys;
+}
+
+Update keyed_update(std::uint64_t key, double x, double weight, SimTime t) {
+  Update u = move_update(static_cast<std::uint32_t>(key), x, weight, t);
+  u.coalesce_key = key;
+  return u;
+}
+
+TEST(SubscriberQueueTest, IndexIsLazyAndOnlyGrows) {
+  SubscriberQueue q;
+  Update chat = move_update(1, 1, 1, SimTime(0));
+  chat.coalesce_key = 0;
+  q.enqueue(chat);
+  EXPECT_EQ(q.index_capacity(), 0u);  // unkeyed updates need no index
+  q.enqueue(move_update(1, 1, 1, SimTime(0)));
+  EXPECT_EQ(q.index_capacity(), 8u);
+  for (std::uint32_t i = 2; i <= 100; ++i) q.enqueue(move_update(i, i, 1, SimTime(0)));
+  const std::size_t grown = q.index_capacity();
+  EXPECT_GE(grown, 200u);  // at most half full
+  q.take_all();
+  q.enqueue(move_update(1, 1, 1, SimTime(0)));
+  EXPECT_EQ(q.index_capacity(), grown);  // storage reused across takes
+}
+
+TEST(SubscriberQueueTest, KeysSharingAProbeRunSurviveClearAndShed) {
+  // Three entity keys and a block key all start probing at slot 0 of the
+  // first (8-slot) table, so each lookup walks the shared run.
+  const std::vector<std::uint64_t> moves = keys_with_home(8, 0, 3, 1);
+  const std::uint64_t block = keys_with_home(8, 0, 1, 2).front();
+  SubscriberQueue q;
+  for (const std::uint64_t k : moves) EXPECT_FALSE(q.enqueue(keyed_update(k, 1, 1, SimTime(0))));
+  EXPECT_TRUE(q.enqueue(keyed_update(moves[2], 2, 1, SimTime(1))));  // end of the run
+  std::vector<Update> out;
+  q.take_into(out);
+  ASSERT_EQ(out.size(), 3u);
+  // After the clear nothing of the old run may match: the last key of the
+  // run, then the first, enqueue fresh, then coalesce.
+  EXPECT_FALSE(q.enqueue(keyed_update(moves[2], 3, 1, SimTime(2))));
+  EXPECT_FALSE(q.enqueue(keyed_update(moves[0], 3, 1, SimTime(2))));
+  EXPECT_TRUE(q.enqueue(keyed_update(moves[2], 4, 1, SimTime(3))));
+  EXPECT_EQ(q.size(), 2u);
+  // Shedding the moves in front of the block key moves it to position 0;
+  // the rebuilt run must find it there.
+  q.drop_all();
+  q.enqueue(keyed_update(moves[0], 5, 1, SimTime(4)));
+  q.enqueue(keyed_update(moves[1], 5, 1, SimTime(4)));
+  q.enqueue(keyed_update(block, 5, 1, SimTime(4)));
+  EXPECT_EQ(q.shed_entity_moves(nullptr), 2u);
+  EXPECT_TRUE(q.enqueue(keyed_update(block, 6, 2, SimTime(5))));
+  ASSERT_EQ(q.size(), 1u);
+  EXPECT_DOUBLE_EQ(q.peek()[0].weight, 3.0);
+  EXPECT_DOUBLE_EQ(std::get<EntityMove>(q.peek()[0].msg).pos.x, 6.0);
+}
+
+/// Reference for SubscriberQueue: a vector plus an ordered key map, with
+/// the same coalescing rule (last payload wins, weights add, the first
+/// position and creation time stay).
+struct ReferenceQueue {
+  std::vector<Update> updates;
+  std::map<std::uint64_t, std::size_t> by_key;
+  double total_weight = 0.0;
+
+  bool enqueue(const Update& u) {
+    total_weight += u.weight;
+    if (u.coalesce_key != 0) {
+      const auto it = by_key.find(u.coalesce_key);
+      if (it != by_key.end()) {
+        updates[it->second].msg = u.msg;
+        updates[it->second].weight += u.weight;
+        return true;
+      }
+      by_key[u.coalesce_key] = updates.size();
+    }
+    updates.push_back(u);
+    return false;
+  }
+
+  std::vector<Update> take() {
+    std::vector<Update> out = std::move(updates);
+    updates.clear();
+    by_key.clear();
+    total_weight = 0.0;
+    return out;
+  }
+
+  std::size_t shed_entity_moves(double* weight) {
+    double removed_weight = 0.0;
+    std::vector<Update> kept;
+    for (const Update& u : updates) {
+      if ((u.coalesce_key >> 56) == 1) {
+        removed_weight += u.weight;
+      } else {
+        kept.push_back(u);
+      }
+    }
+    const std::size_t removed = updates.size() - kept.size();
+    if (removed == 0) return 0;
+    updates = std::move(kept);
+    by_key.clear();
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      if (updates[i].coalesce_key != 0) by_key[updates[i].coalesce_key] = i;
+    }
+    total_weight -= removed_weight;
+    *weight += removed_weight;
+    return removed;
+  }
+};
+
+std::uint64_t queue_iters(std::uint64_t def) {
+  const char* env = std::getenv("DYCONITS_QUEUE_ITERS");
+  return env != nullptr ? std::strtoull(env, nullptr, 10) : def;
+}
+
+// Same updates, same order. The payload's x is a serial number, so a
+// coalesce that picked the wrong entry shows up as a wrong payload.
+void expect_same_updates(const std::vector<Update>& got, const std::vector<Update>& want,
+                         std::uint64_t step) {
+  ASSERT_EQ(got.size(), want.size()) << "step " << step;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].coalesce_key, want[i].coalesce_key) << "step " << step << " at " << i;
+    ASSERT_EQ(std::get<EntityMove>(got[i].msg).pos.x, std::get<EntityMove>(want[i].msg).pos.x)
+        << "step " << step << " at " << i;
+    ASSERT_EQ(got[i].weight, want[i].weight) << "step " << step << " at " << i;
+    ASSERT_EQ(got[i].created, want[i].created) << "step " << step << " at " << i;
+  }
+}
+
+// Seeded differential test of the coalescing index (DYCONITS_QUEUE_ITERS
+// steps; scripts/verify.sh runs 100k under ASan+UBSan). Keys come from
+// probe runs shared at several table sizes, a small pool that coalesces
+// often, block keys, and bursts of fresh keys that grow the table through
+// several doublings before the queue goes back to a few entries.
+TEST(SubscriberQueueTest, MatchesReferenceUnderRandomOperations) {
+  std::vector<std::uint64_t> pool;
+  for (const std::size_t capacity : {8u, 16u, 64u, 512u}) {
+    for (const std::uint64_t ns : {1u, 2u}) {
+      const auto run = keys_with_home(capacity, capacity / 2, 6, ns);
+      pool.insert(pool.end(), run.begin(), run.end());
+    }
+  }
+  for (std::uint64_t id = 1; id <= 24; ++id) pool.push_back(coalesce_key_entity(id));
+
+  Rng rng(0x9E7EA5Eull);
+  SubscriberQueue q;
+  ReferenceQueue ref;
+  std::vector<Update> out;
+  std::uint64_t serial = 0;
+  std::uint64_t fresh = 1'000'000;  // burst keys, never reused
+  std::size_t capacity = 0;
+  std::size_t max_capacity = 0;
+  const auto make = [&](std::uint64_t key) {
+    ++serial;
+    return keyed_update(key, static_cast<double>(serial),
+                        static_cast<double>(1 + rng.next_below(16)) / 16.0,
+                        SimTime(static_cast<std::int64_t>(serial)));
+  };
+
+  const std::uint64_t iters = queue_iters(3000);
+  for (std::uint64_t step = 0; step < iters; ++step) {
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 55) {
+      const Update u = make(pool[rng.next_below(pool.size())]);
+      ASSERT_EQ(q.enqueue(u), ref.enqueue(u)) << "step " << step;
+    } else if (op < 65) {
+      const Update u = make(0);
+      ASSERT_FALSE(q.enqueue(u));
+      ref.enqueue(u);
+    } else if (op < 68) {
+      const std::uint64_t n = 64 + rng.next_below(960);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const Update u = make(rng.chance(0.8) ? (1ull << 56) | ++fresh
+                                              : pool[rng.next_below(pool.size())]);
+        ASSERT_EQ(q.enqueue(u), ref.enqueue(u)) << "step " << step;
+      }
+    } else if (op < 80) {
+      q.take_into(out);
+      expect_same_updates(out, ref.take(), step);
+    } else if (op < 85) {
+      expect_same_updates(q.take_all(), ref.take(), step);
+    } else if (op < 90) {
+      q.drop_all();
+      ref.take();
+    } else {
+      double w = 0.0;
+      double ref_w = 0.0;
+      ASSERT_EQ(q.shed_entity_moves(&w), ref.shed_entity_moves(&ref_w)) << "step " << step;
+      ASSERT_EQ(w, ref_w) << "step " << step;
+    }
+    expect_same_updates(q.peek(), ref.updates, step);
+    ASSERT_EQ(q.total_weight(), ref.total_weight) << "step " << step;
+    // The index only grows, stays a power of two and at most half full.
+    ASSERT_GE(q.index_capacity(), capacity) << "step " << step;
+    capacity = q.index_capacity();
+    max_capacity = std::max(max_capacity, capacity);
+    ASSERT_EQ(capacity & (capacity - 1), 0u) << "step " << step;
+    ASSERT_GE(capacity, 2 * ref.by_key.size()) << "step " << step;
+  }
+  // The bursts grew it through several doublings.
+  if (iters >= 1000) {
+    EXPECT_GE(max_capacity, 256u);
+  }
 }
 
 // ----------------------------------------------------------------- Dyconit
